@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Tuple
 
-import numpy as np
-
+from ...workloads.keyed import keyed_rng
 from ...workloads.particles import GEMSetup, PARTICLE_BYTES
 
 
@@ -109,14 +108,12 @@ class IPICConfig:
         """Transient per-(rank, step) mover slowdown factor."""
         if self.mover_jitter_sigma <= 0:
             return 1.0
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(5, rank, step)))
+        rng = keyed_rng(self.seed, (5,), (rank, step))
         return float(rng.lognormal(0.0, self.mover_jitter_sigma))
 
     def exits(self, rank: int, step: int, count: int) -> int:
         """Scale-mode: number of particles leaving ``rank`` at ``step``."""
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(3, rank, step)))
+        rng = keyed_rng(self.seed, (3,), (rank, step))
         frac = self.exit_fraction_mean * float(
             rng.lognormal(0.0, self.exit_sigma))
         return min(count, int(count * min(1.0, frac)))
@@ -124,10 +121,9 @@ class IPICConfig:
     def hop_split(self, rank: int, step: int, n_exit: int
                   ) -> Tuple[int, int, int]:
         """Scale-mode: split exits into 1-, 2-, 3-hop populations."""
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(4, rank, step)))
         if n_exit == 0:
             return (0, 0, 0)
+        rng = keyed_rng(self.seed, (4,), (rank, step))
         counts = rng.multinomial(n_exit, list(self.hop_probabilities))
         return tuple(int(c) for c in counts)
 

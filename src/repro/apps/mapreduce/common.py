@@ -17,8 +17,9 @@ from it).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from ...workloads.corpus import (
     histogram_nbytes,
     merge_histograms,
 )
+from ...workloads.keyed import generators, keyed_rng
 
 #: mean bytes of one stored key on the wire (word string + count)
 KEY_WIRE_BYTES = 16.0
@@ -218,22 +220,60 @@ def rank_file(cfg: MapReduceConfig, map_index: int) -> FileSpec:
     return spec
 
 
-def chunk_map_jitter(cfg: MapReduceConfig, map_index: int, chunk: int) -> float:
-    """Deterministic per-(rank, chunk) lognormal jitter factor.
+#: rows of the jitter table derived at once: enough to amortize the
+#: vectorized seed derivation's per-call overhead, few enough that its
+#: scratch arrays stay small and a run touching a handful of chunks
+#: derives little
+_JITTER_BLOCK = 4096
 
-    Skipped entirely for ``chunk_jitter_sigma == 0``: ``lognormal(0, 0)``
-    is exactly 1.0, so the (expensive) generator construction can be
-    elided bit-identically — the deterministic perf scenarios rely on
+#: (seed, sigma, nchunks, nprocs) -> the jitter table of every (file,
+#: chunk), flat in file-major order, as lazily derived ``array('d')``
+#: blocks (8 B per entry; 512 KiB at 1024 files x 64 chunks)
+_jitter_memo: Dict[tuple, List[Optional[array]]] = {}
+
+
+def _jitter_block(cfg: MapReduceConfig, start: int, stop: int) -> array:
+    keys = np.stack(divmod(np.arange(start, stop), cfg.nchunks), axis=1)
+    sigma = cfg.chunk_jitter_sigma
+    # a generator expression, not a list: each float dies as it lands,
+    # so the block never holds 4096 float objects at once
+    return array("d", (rng.lognormal(0.0, sigma)
+                       for rng in generators(cfg.seed, (11,), keys)))
+
+
+def chunk_map_jitter(cfg: MapReduceConfig, map_index: int, chunk: int) -> float:
+    """Deterministic per-(rank, chunk) lognormal jitter factor: the draw
+    of ``default_rng(SeedSequence(entropy=seed, spawn_key=(11, file,
+    chunk)))``, bit-identically.
+
+    Every (file, chunk) of a run is drawn, so the draws are derived a
+    block of the table at a time through :mod:`repro.workloads.keyed`
+    instead of through a fresh ``SeedSequence`` each.
+    Skipped entirely for ``chunk_jitter_sigma == 0``: ``lognormal(0,
+    0)`` is exactly 1.0 — the deterministic perf scenarios rely on
     this.
     """
     sigma = cfg.chunk_jitter_sigma
     if sigma == 0.0:
         return 1.0
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed,
-                               spawn_key=(11, map_index, chunk))
-    )
-    return float(rng.lognormal(0.0, sigma))
+    nchunks, nprocs = cfg.nchunks, cfg.nprocs
+    if not (0 <= map_index < nprocs and 0 <= chunk < nchunks):
+        rng = keyed_rng(cfg.seed, (11,), (map_index, chunk))
+        return float(rng.lognormal(0.0, sigma))
+    key = (cfg.seed, sigma, nchunks, nprocs)
+    blocks = _jitter_memo.get(key)
+    if blocks is None:
+        if len(_jitter_memo) >= 16:
+            _jitter_memo.clear()
+        size = nprocs * nchunks
+        blocks = _jitter_memo[key] = [None] * -(-size // _JITTER_BLOCK)
+    b, i = divmod(map_index * nchunks + chunk, _JITTER_BLOCK)
+    block = blocks[b]
+    if block is None:
+        start = b * _JITTER_BLOCK
+        block = blocks[b] = _jitter_block(
+            cfg, start, min(start + _JITTER_BLOCK, nprocs * nchunks))
+    return block[i]
 
 
 def chunk_map_seconds(cfg: MapReduceConfig, map_index: int,

@@ -394,7 +394,10 @@ def _clear_memos() -> None:
     from ..simmpi import topology
     from ..compile import executor as compile_executor
     from ..mpistream import channel as mp_channel
+    from ..workloads import keyed
     mr_common._rank_file_memo.clear()
+    mr_common._jitter_memo.clear()
+    keyed._pool_memo.clear()
     mr_common._chunk_sketch_memo.clear()
     mr_decoupled._compiled_memo.clear()
     fault_apps._compiled_memo.clear()

@@ -21,7 +21,10 @@ crash lifecycle (see DESIGN.md §12):
      which keep raising on re-post until the communicator calls
      :meth:`~repro.simmpi.comm.Comm.failure_ack`;
    * new sends to the dead rank raise
-     :class:`~repro.simmpi.errors.RevokedError` immediately.
+     :class:`~repro.simmpi.errors.RevokedError` immediately;
+   * rendezvous headers posted *before* detection but arriving *after*
+     it (the sweep found no envelope to poison) poison their sender
+     requests on arrival, through :meth:`FaultController.deliver`.
 
 Everything is edge-triggered at fixed virtual times over deterministic
 structures (communicators in registration order, mailboxes by rank), so
@@ -57,6 +60,8 @@ class FaultController:
         self.failed: Dict[int, float] = {}
         #: global rank -> detection time (set when survivors learn)
         self.detected: Dict[int, float] = {}
+        #: global rank -> the error its detection resolved waits with
+        self._errors: Dict[int, ProcessFailedError] = {}
         #: detection epoch; bumps once per detected failure so
         #: communicators and streams can poll for news cheaply
         self.version = 0
@@ -139,6 +144,7 @@ class FaultController:
         exc = ProcessFailedError(
             f"rank {rank} (global) failed at t={self.failed[rank]:.6g}, "
             f"detected at t={now:.6g}", rank=rank)
+        self._errors[rank] = exc
         engine = self.engine
         mailboxes = self.world.mailboxes
         # rendezvous senders parked in the dead rank's mailbox: their
@@ -178,6 +184,19 @@ class FaultController:
                 victims = mailboxes[g].cancel_posted(contexts, dead_local)
                 for req in victims:
                     engine.set_flag(req, FaultSignal(exc))
+
+    def deliver(self, gdst: int, env) -> None:
+        """Deliver a rendezvous header to ``gdst``'s mailbox — unless
+        the rank's failure is already detected: the sweep has run, so
+        the header would sit unmatched forever and its sender would
+        never wake.  Poison the sender request as the sweep would."""
+        exc = self._errors.get(gdst)
+        if exc is None:
+            self.world.mailboxes[gdst].deliver(env)
+            return
+        sreq = env.sender_req
+        if not sreq.is_set:
+            self.engine.set_flag(sreq, FaultSignal(exc))
 
     # ------------------------------------------------------------------
     # communicator revocation (ULFM MPI_Comm_revoke)

@@ -282,12 +282,16 @@ class World:
         env.on_match = on_match
         env.sender_req = req  # lets a receiver failure poison the sender
         header_latency, _ = self.network._link(gsrc, gdst)
-        if self._lane_of_rank is not None:
-            engine.deliver_at(gdst, now + header_latency,
-                              partial(self.mailboxes[gdst].deliver, env))
+        if ctl is None:
+            deliver = partial(self.mailboxes[gdst].deliver, env)
         else:
-            engine.call_at(now + header_latency,
-                           partial(self.mailboxes[gdst].deliver, env))
+            # the destination may be detected dead before the header
+            # lands; the controller then poisons the sender instead
+            deliver = partial(ctl.deliver, gdst, env)
+        if self._lane_of_rank is not None:
+            engine.deliver_at(gdst, now + header_latency, deliver)
+        else:
+            engine.call_at(now + header_latency, deliver)
         return req
 
     def post_recv(self, gdst: int, source: int, tag: int, context: int,

@@ -25,6 +25,8 @@ from typing import List
 
 import numpy as np
 
+from .keyed import keyed_rng
+
 #: bytes per particle on the wire (x,y,z,u,v,w,q,w8,id,pad as doubles)
 PARTICLE_BYTES = 80
 
@@ -91,9 +93,7 @@ def exiting_fraction(rank: int, step: int, setup: GEMSetup,
     """
     if not (0.0 <= mean_fraction <= 1.0):
         raise ValueError("mean_fraction must be in [0, 1]")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=setup.seed, spawn_key=(rank, step))
-    )
+    rng = keyed_rng(setup.seed, (), (rank, step))
     frac = mean_fraction * float(rng.lognormal(0.0, 0.75))
     return min(1.0, frac)
 

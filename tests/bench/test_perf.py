@@ -350,3 +350,16 @@ def test_cli_compare_warns_on_core_count_mismatch(tmp_path, capsys,
                      "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err
     assert "not apples to apples" in err
+
+
+def test_clear_memos_empties_the_jitter_tables():
+    from repro.apps.mapreduce import MapReduceConfig
+    from repro.apps.mapreduce import common as mr_common
+    from repro.workloads import keyed
+
+    cfg = MapReduceConfig(nprocs=8, nchunks=4, seed=11)
+    mr_common.chunk_map_jitter(cfg, 7, 3)
+    assert mr_common._jitter_memo and keyed._pool_memo
+    perf._clear_memos()
+    assert not mr_common._jitter_memo
+    assert not keyed._pool_memo

@@ -104,6 +104,53 @@ def test_rendezvous_sender_to_dead_receiver_is_poisoned():
     assert r.values[0] == "failed"
 
 
+def test_rendezvous_header_landing_after_detection_is_poisoned():
+    """A header posted just before detection lands after the sweep has
+    emptied the dead mailbox; its sender must still wake."""
+    big = 1 << 20
+    crash, latency = 0.1, 1e-4
+    # o_send (4e-7) ends 1e-7 before detection; the intra-node header
+    # latency (2.5e-7) lands it 1.5e-7 after
+    post_at = crash + latency - 5e-7
+
+    def prog(comm):
+        if comm.rank == 0:
+            yield from comm.sleep(post_at)
+            try:
+                req = yield from comm.isend(b"x", dest=1, nbytes=big)
+                yield from comm.wait(req)
+                return "sent"
+            except ProcessFailedError as exc:
+                return ("failed", exc.rank, comm.time)
+        yield from comm.sleep(2.0)
+        return "receiver"
+
+    r = run(prog, 2, faults=_crash(crash, 1, latency))
+    status, rank, when = r.values[0]
+    assert (status, rank) == ("failed", 1)
+    assert when > crash + latency
+
+
+@pytest.mark.parametrize("nprocs,noise_seed", [(96, 8), (128, 31)])
+def test_halo_recovery_late_header_cells_complete(nprocs, noise_seed):
+    """The study cells whose compute rank used to block forever in a
+    send to the crashed helper (a header landing after detection)."""
+    from repro.study.runner import execute_job
+
+    job = {
+        "study": "t", "series": "s", "x": nprocs,
+        "app": "cg.halo_recovery", "nprocs": nprocs,
+        "params": {"elements_per_producer": 60}, "args": [],
+        "machine": {"preset": "beskow", "noise": {"seed": noise_seed},
+                    "faults": {"events": [{"kind": "crash", "time": 0.01,
+                                           "rank": -1}]}},
+        "extract": "max_elapsed", "meta": {},
+    }
+    out = execute_job(job)
+    assert out["value"] > 0.01
+    assert execute_job(job) == out
+
+
 def test_post_detection_send_raises_revoked():
     def prog(comm):
         if comm.rank == 0:
