@@ -49,6 +49,7 @@ from .handles import (
     ProducerHandle,
     StageContext,
     StageRecord,
+    _CursorProducerHandle,
 )
 
 Body = Callable[[StageContext], Generator]
@@ -303,23 +304,20 @@ class CompiledGraph:
     def execute(self, world: Comm) -> Generator[Any, Any, StageRecord]:
         """This rank's SPMD main, as a generator.
 
-        When the run opted into compiled mode (``run(..., compile=True)``
-        installs the options on the world) and no fault controller is
-        active, the returned generator is the plan compiler's fused
-        driver; otherwise the interpreted ``run_decoupled`` layering.
-        Both are plain ``yield from``-able generators, so call sites
-        never change.
+        When the run's compile options set ``auto_alpha`` (and no fault
+        controller is active) the groups follow the plan compiler's
+        resized plan; otherwise the declared plan.  Compiled mode needs
+        nothing else here: eligible producer streams bind their send
+        cursor when they attach.
         """
+        plan = self.plan
         opts = world.world._compile_opts
-        if opts is not None and world.world._fault_ctl is None:
+        if opts is not None and opts.auto_alpha \
+                and world.world._fault_ctl is None:
             from ..compile.executor import executable_for  # lazy: upper layer
-            return executable_for(self, opts).driver(world)
-        return self._interpret(world)
-
-    def _interpret(self, world: Comm) -> Generator[Any, Any, StageRecord]:
+            plan = executable_for(self, opts).plan
         bodies = {s.name: self._make_body(s) for s in self.graph.stages}
-        record = yield from run_decoupled(world, self.plan, bodies)
-        return record
+        return run_decoupled(world, plan, bodies)
 
     # ------------------------------------------------------------------
     def _make_body(self, stage: StageDef):
@@ -336,7 +334,9 @@ class CompiledGraph:
                         element_overhead=flow.element_overhead,
                         window=flow.window, router=flow.router,
                         eager=flow.eager, checkpoint=flow.checkpoint)
-                    handles[flow.name] = ProducerHandle(flow.name, stream)
+                    handle_cls = (ProducerHandle if stream._cursor is None
+                                  else _CursorProducerHandle)
+                    handles[flow.name] = handle_cls(flow.name, stream)
                 elif stage.name == flow.dst:
                     stream = yield from attach(
                         gctx.channel(flow.name), flow.make_operator(),

@@ -104,6 +104,26 @@ class ProducerHandle:
         return self._stream.profile
 
 
+class _CursorProducerHandle(ProducerHandle):
+    """Producer handle on a stream bound to a send-schedule cursor
+    (compiled mode, :mod:`repro.compile.schedule`).
+
+    ``send`` stages the element on the cursor and returns its reusable
+    1-tuple holding the ``Segment`` syscall, so ``yield from
+    handle.send(data)`` works unchanged without an isend generator per
+    element."""
+
+    def __init__(self, flow_name: str, stream: Stream):
+        super().__init__(flow_name, stream)
+        self._load_token = stream._cursor.load_token
+
+    def send(self, data: Any) -> tuple:
+        if self.closed or self.terminated:
+            raise GraphError(
+                f"send on closed producer for flow {self.flow_name!r}")
+        return self._load_token(data)
+
+
 class ConsumerHandle:
     """Consumer side of one flow on this rank."""
 

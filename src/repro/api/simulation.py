@@ -147,13 +147,14 @@ class Simulation:
         compile:
             Opt into the plan compiler (:mod:`repro.compile`):
             ``True``, a :class:`~repro.compile.CompileOptions` or its
-            dict form (e.g. ``{"auto_alpha": True}``).  Graph runs then
-            execute through the pass pipeline's fused driver and static
-            send schedules — bit-identical virtual-time results unless
-            ``auto_alpha`` rewrites group sizes.  Silently bypassed
-            under fault injection (the interpreted layering carries the
-            recovery protocol).  See :meth:`explain` for the pipeline's
-            account of a graph.
+            dict form (e.g. ``{"auto_alpha": True}``).  Eligible
+            producer streams of serial, noise-free, trace-free runs then
+            send through engine-serviced static send schedules —
+            bit-identical virtual-time results unless ``auto_alpha``
+            rewrites group sizes.  Silently bypassed under fault
+            injection (the interpreted send path carries the recovery
+            protocol).  See :meth:`explain` for the pipeline's account
+            of a graph.
         parallel:
             Opt into partitioned execution (:mod:`repro.parallel`):
             ``True``, a shard count, an options dict (e.g.
@@ -162,8 +163,9 @@ class Simulation:
             the machine's node map; results stay bit-identical to
             serial (the conservative merge preserves global event
             order).  Silently bypassed under fault injection, like
-            ``compile=`` — and an active parallel run keeps the plan
-            compiler uninstalled.  :meth:`explain` appends the chosen
+            ``compile=`` — and an active parallel run leaves send
+            cursors unbound (``auto_alpha`` still applies).
+            :meth:`explain` appends the chosen
             partition, its lookahead window, and a warning for any
             shard cut through an eager flow.
         max_events:
@@ -248,14 +250,7 @@ class Simulation:
             record = yield from compiled.execute(comm)
             return record
 
-        # compiled mode: specialize up front so placement and the
-        # report see the executable's plan (auto_alpha may resize
-        # groups); the launcher's executable_for() hits the same memo
-        plan = compiled.plan
-        if self.compile_opts is not None and self.faults is None:
-            from ..compile.executor import executable_for
-            plan = executable_for(compiled, self.compile_opts).plan
-
+        plan = self._run_plan(compiled)
         machine = self.machine
         if self._plan_placement is not None:
             machine = machine.with_(placement=plan_placement(
@@ -266,6 +261,17 @@ class Simulation:
                   parallel=self._graph_parallel(plan))
         return Report(sim=sim, plan=plan,
                       records=list(sim.values))
+
+    def _run_plan(self, compiled: CompiledGraph):
+        """The plan a graph run executes: the declared one, or the
+        auto-sized one when ``auto_alpha`` applies — resolved up front
+        so placement, sharding and the report agree with the ranks
+        (each rank's ``execute()`` hits the same executable memo)."""
+        opts = self.compile_opts
+        if opts is None or not opts.auto_alpha or self.faults is not None:
+            return compiled.plan
+        from ..compile.executor import executable_for
+        return executable_for(compiled, opts).plan
 
     def _graph_parallel(self, plan):
         """Graph runs shard on the plan's group blocks (a stage never
@@ -281,9 +287,9 @@ class Simulation:
 
     def explain(self, target: Union[StreamGraph, CompiledGraph]) -> str:
         """The pass pipeline's account of how ``target`` would execute
-        on this simulation — one line per pass decision (fusion, sizing,
-        schedules, engine segments).  Uses this simulation's compile
-        options when set, the defaults otherwise."""
+        on this simulation — one line per pass decision (sizing, send
+        schedules).  Uses this simulation's compile options when set,
+        the defaults otherwise."""
         from ..compile.executor import compile_graph
         compiled = (target if isinstance(target, CompiledGraph)
                     else target.compile(self.nprocs))
@@ -295,8 +301,8 @@ class Simulation:
                             options=self.compile_opts)
         text = exe.explain()
         if self.parallel_opts is not None:
-            graph = compiled.graph if hasattr(compiled, "graph") else None
-            text = text + "\n" + self._parallel_report(compiled.plan, graph)
+            text = text + "\n" + self._parallel_report(
+                self._run_plan(compiled), compiled.graph)
         return text
 
     def _parallel_report(self, plan, graph) -> str:

@@ -681,7 +681,7 @@ def profile_scenario(name: str, top_n: int = 12,
     """cProfile one run; return per-layer totals and the top-N
     functions per layer by internal time.  ``variant="compiled"``
     profiles the plan-compiler execution, attributing time to the
-    ``compile`` layer (passes, cursors, fused driver) alongside the
+    ``compile`` layer (passes, send cursors) alongside the
     engine and network layers."""
     import cProfile
     import pstats

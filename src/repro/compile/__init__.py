@@ -1,13 +1,15 @@
-"""repro.compile — the plan compiler (pass pipeline + batched execution).
+"""repro.compile — the plan compiler (pass pipeline + send schedules).
 
-Lowers a :class:`~repro.api.graph.CompiledGraph` through a fixed pass
-pipeline (auto-size-groups, fuse-stages, emit-schedules,
-engine-segments) into an :class:`~repro.compile.executor.
-ExecutableGraph` whose flat driver and engine-serviced send schedules
-replace the interpreted generator layering — bit-identical virtual
-time, several times the events/sec.  See DESIGN.md §15 for the pass
+Lowers a :class:`~repro.api.graph.CompiledGraph` through a fixed
+two-pass pipeline (auto-size-groups, emit-schedules) into an
+:class:`~repro.compile.executor.ExecutableGraph` carrying the
+(possibly resized) plan and the explain report.  Compiled runs keep the
+runtime's own ``execute -> run_decoupled`` layering; what changes is
+the per-element send: eligible producer streams bind an engine-serviced
+send cursor (:mod:`repro.compile.schedule`) — bit-identical virtual
+time, no generator round-trips per element.  See DESIGN.md §15 for the pass
 contract and ``ExecutableGraph.explain()`` for what a given graph's
-pipeline rewrote.
+pipeline decided.
 
 Entry points::
 
@@ -17,12 +19,7 @@ Entry points::
     sim = run(worker, 1024, args=(cfg,), compile=True)   # low-level
 """
 
-from .executor import (
-    CompiledProducerHandle,
-    ExecutableGraph,
-    compile_graph,
-    executable_for,
-)
+from .executor import ExecutableGraph, compile_graph, executable_for
 from .options import CompileOptions, DEFAULT_OPTIONS, resolve_options
 from .passes import (
     GraphIR,
@@ -37,7 +34,6 @@ from .sizing import plan_auto_sizes
 
 __all__ = [
     "CompileOptions",
-    "CompiledProducerHandle",
     "DEFAULT_OPTIONS",
     "ExecutableGraph",
     "GraphIR",

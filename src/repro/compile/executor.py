@@ -1,57 +1,22 @@
-"""The execution side of the pass pipeline: the fused flat driver.
+"""The pass pipeline's product: an inspectable, plan-carrying executable.
 
 ``compile_graph`` runs the pipeline over a ``CompiledGraph`` and wraps
-the result in an :class:`ExecutableGraph` whose ``driver(world)`` is
-the rank main: the interpreted path's ``execute -> run_decoupled ->
-stage-body wrapper -> attach`` delegation collapsed into one generator
-frame per rank.  Producer handles on schedule-eligible streams are
-:class:`CompiledProducerHandle` — ``send`` stages the element on the
-stream's schedule cursor and yields a reusable
-:class:`~repro.simmpi.engine.Segment` instead of building an isend
-generator per element.
-
-Fusion is pure specialization: channel creation, stream attachment,
-body invocation and the terminate/free epilogue happen in exactly the
-declaration order the interpreted runtime uses, so the event sequence
-(and therefore every digest) is unchanged.
+the result in an :class:`ExecutableGraph`: the (possibly auto-sized)
+plan, the emitted send schedules and the explain report.  Compiled runs
+execute through the graph's own ``execute -> run_decoupled`` layering,
+reading ``plan`` from here when ``auto_alpha`` resized it; eligible
+producer streams bind their send cursor (:mod:`repro.compile.schedule`)
+when they attach.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..api.errors import GraphError
 from ..api.graph import CompiledGraph, StreamGraph
-from ..api.handles import (
-    ConsumerHandle,
-    ProducerHandle,
-    StageContext,
-    StageRecord,
-)
-from ..core.groups import PlanError
-from ..core.runtime import GroupContext
-from ..mpistream.channel import create_channel
-from ..mpistream.stream import Stream
 from .options import CompileOptions, resolve_options
 from .passes import GraphIR, PipelineReport, run_pipeline
-
-
-class CompiledProducerHandle(ProducerHandle):
-    """Producer handle bound to a stream's send-schedule cursor.
-
-    ``send`` returns a reusable 1-tuple holding the stream's Segment
-    syscall — ``yield from handle.send(data)`` in stage bodies works
-    unchanged, without the per-element isend generator."""
-
-    def __init__(self, flow_name: str, stream: Stream):
-        super().__init__(flow_name, stream)
-        self._load_token = stream._cursor.load_token
-
-    def send(self, data: Any) -> tuple:
-        if self.closed or self.terminated:
-            raise GraphError(
-                f"send on closed producer for flow {self.flow_name!r}")
-        return self._load_token(data)
 
 
 class ExecutableGraph:
@@ -63,7 +28,6 @@ class ExecutableGraph:
         self.plan = ir.plan          # auto-sizing may have rewritten it
         self.ir = ir
         self.report = PipelineReport(ir, compiled.graph.name)
-        self._stage_of = {s.name: s for s in compiled.graph.stages}
 
     @property
     def total_procs(self) -> int:
@@ -72,92 +36,6 @@ class ExecutableGraph:
     def explain(self) -> str:
         """What each pass rewrote (one line per decision)."""
         return self.report.render()
-
-    # ------------------------------------------------------------------
-    def driver(self, world) -> Generator[Any, Any, StageRecord]:
-        """The fused SPMD rank main (stage fusion applied)."""
-        plan = self.plan
-        graph = self.graph
-        if world.size != plan.total_procs:
-            raise PlanError(
-                f"plan sized for {plan.total_procs} processes, "
-                f"communicator has {world.size}")
-        my_group = plan.group_of(world.rank)
-        group_comm = world.group_from_ranks(
-            list(plan.groups[my_group].ranks),
-            name=f"{world.name}/{my_group}")
-
-        channels: Dict[str, Any] = {}
-        all_channels: Dict[str, Any] = {}
-        for flow in plan.flows:
-            ch = yield from create_channel(
-                world,
-                is_producer=(my_group == flow.src),
-                is_consumer=(my_group == flow.dst))
-            all_channels[flow.name] = ch
-            if my_group in (flow.src, flow.dst):
-                channels[flow.name] = ch
-
-        gctx = GroupContext(plan=plan, group=my_group, world=world,
-                            comm=group_comm, channels=channels,
-                            all_channels=all_channels)
-        stage = self._stage_of[my_group]
-
-        # attach prologue, inlined (attach() is local: validations were
-        # done at flow declaration, only the tag allocation remains)
-        handles: Dict[str, Any] = {}
-        for flow in graph.flows:
-            if stage.name == flow.src:
-                channel = channels[flow.name]
-                channel.check_alive()
-                stream = Stream(channel, None, channel.alloc_stream_tag(),
-                                flow.element_overhead, flow.window,
-                                flow.router, eager=flow.eager,
-                                checkpoint=flow.checkpoint)
-                if stream._cursor is not None:
-                    handles[flow.name] = CompiledProducerHandle(
-                        flow.name, stream)
-                else:
-                    handles[flow.name] = ProducerHandle(flow.name, stream)
-            elif stage.name == flow.dst:
-                channel = channels[flow.name]
-                channel.check_alive()
-                stream = Stream(channel, flow.make_operator(),
-                                channel.alloc_stream_tag(),
-                                flow.element_overhead, flow.window,
-                                flow.router, eager=flow.eager,
-                                checkpoint=flow.checkpoint)
-                handles[flow.name] = ConsumerHandle(
-                    flow.name, stream, stream.operator)
-
-        ctx = StageContext(stage.name, gctx, handles)
-        if stage.body is not None:
-            result = yield from stage.body(ctx)
-        else:
-            # default consumer body, inlined one level deeper: operate
-            # the stream directly instead of through handle.operate()
-            results: Dict[str, Any] = {}
-            for flow in graph.flows_in(stage.name):
-                h = ctx.consumer(flow.name)
-                yield from h._stream.operate()
-                h.operated = True
-                results[flow.name] = h.result()
-            result = (next(iter(results.values()))
-                      if len(results) == 1 else results)
-
-        # epilogue: the terminate/free protocol, in declaration order
-        for flow in graph.flows:
-            h = handles.get(flow.name)
-            if isinstance(h, ProducerHandle) and not h.terminated:
-                yield from h.terminate()
-        for flow in graph.flows:
-            ch = all_channels[flow.name]
-            if not ch.freed:
-                yield from ch.free()
-
-        return StageRecord(
-            stage=stage.name, result=result,
-            profiles={name: h.profile for name, h in handles.items()})
 
 
 def compile_graph(target: Union[StreamGraph, CompiledGraph],
@@ -168,8 +46,8 @@ def compile_graph(target: Union[StreamGraph, CompiledGraph],
     """Run the pass pipeline and return the specialized executable.
 
     ``machine`` (a MachineConfig) feeds the sizing model and resolves
-    the explain report's delay constants; the driver itself reads its
-    runtime constants from the world it runs on, so an unbound
+    the explain report's delay constants; the send cursors read their
+    runtime constants from the world they run on, so an unbound
     executable is still correct on any machine.
     """
     if isinstance(target, StreamGraph):
@@ -191,8 +69,8 @@ def compile_graph(target: Union[StreamGraph, CompiledGraph],
     return ExecutableGraph(compiled, ir)
 
 
-#: per-CompiledGraph executable memo: the SPMD launcher calls execute()
-#: once per rank, and the specialization is a pure function of
+#: per-CompiledGraph executable memo: an auto_alpha run calls
+#: execute() once per rank, and the specialization is a pure function of
 #: (graph identity, options).  Entries carry the graph itself so a
 #: recycled id() can never alias (same scheme as _channel_groups).
 _exe_memo: Dict[tuple, tuple] = {}

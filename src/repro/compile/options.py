@@ -1,7 +1,7 @@
 """Options controlling the plan-compiler pass pipeline.
 
-``CompileOptions`` selects which passes run and feeds the sizing model.
-The default configuration (``fuse`` + ``schedule`` + ``batch``) is
+``CompileOptions`` feeds the auto-sizing model.  Compiled mode itself
+(static send schedules serviced through engine ``Segment`` cursors) is
 bit-identity preserving: it only changes *how* the simulator executes
 the plan, never which virtual-time events occur.  ``auto_alpha`` is the
 exception — it rewrites the plan's group sizes from the machine model,
@@ -13,25 +13,15 @@ never enabled by the plain ``compile=True`` switch threading through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Which passes run, plus the auto-sizing model inputs.
+    """The auto-sizing model inputs.
 
     Parameters
     ----------
-    fuse:
-        Collapse the ``execute -> run_decoupled -> stage body`` framework
-        layers into one flat driver generator (stage fusion).
-    schedule:
-        Emit per-flow static send schedules: destination, tag, context
-        and delay constants resolved once instead of per element.
-    batch:
-        Service emitted schedules through the engine's batch-drain
-        ``Segment`` mode (precomputed event sequences, no generator
-        round-trips).  Requires ``schedule``.
     auto_alpha:
         Re-size the plan's groups from the Eq. 2 balance point
         (:func:`repro.core.model.optimal_alpha`) using per-stage
@@ -47,26 +37,19 @@ class CompileOptions:
         ``beta(S)`` callable overriding the default BetaModel.
     """
 
-    fuse: bool = True
-    schedule: bool = True
-    batch: bool = True
     auto_alpha: bool = False
     volume: Optional[float] = None
     granularity: Optional[float] = None
     beta: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.batch and not self.schedule:
-            raise ValueError("batch mode services emitted schedules; "
-                             "enable schedule too (or disable batch)")
         for name in ("volume", "granularity"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
 
 
-#: the plain ``compile=True`` configuration (shared so launcher runs
-#: with identical options hit the executable memo)
+#: the plain ``compile=True`` configuration (one shared object)
 DEFAULT_OPTIONS = CompileOptions()
 
 

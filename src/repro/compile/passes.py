@@ -10,15 +10,9 @@ Pass order (fixed — see DESIGN.md §15 for the contract):
 1. ``auto-size-groups`` (opt-in): rewrites the plan's group sizes from
    the Eq. 2 balance point.  The only pass allowed to change
    virtual-time results.
-2. ``fuse-stages``: plans the flat driver — which framework layers
-   collapse into one generator body per stage.
-3. ``emit-schedules``: per flow, resolves the static (peer, tag, size
-   threshold, delay) structure producers replay in steady state.
-4. ``engine-segments``: marks which emitted schedules the engine may
-   service in batch-drain mode (``Segment`` cursors).
-
-Passes 2–4 are descriptive + structural: the rewritten execution must
-push the same events at the same times as the interpreted path.
+2. ``emit-schedules``: per flow, resolves the static (peer, tag, size
+   threshold, delay) structure producers replay in steady state, and
+   names which flows are eligible for an engine send cursor.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ except ImportError:  # pragma: no cover - numpy is in the baked image
     _np = None
 
 from ..core.groups import DecouplingPlan
-from ..mpistream.channel import DENSE_PEERS, blocked_fan_in, blocked_peers
+from ..mpistream.channel import blocked_fan_in, blocked_peers
 from .sizing import plan_auto_sizes
 
 
@@ -63,7 +57,6 @@ class SendPlan:
     inject_dt: Optional[float] = None   # machine-resolved, explain only
     osend_dt: Optional[float] = None
     eager_threshold: Optional[int] = None
-    segments: bool = False      # serviced by engine batch-drain mode
 
     def fan_in(self) -> str:
         if self.peers is None:
@@ -83,7 +76,6 @@ class GraphIR:
     plan: DecouplingPlan
     options: Any                # CompileOptions
     machine: Any = None         # MachineConfig or None
-    fused: Dict[str, List[str]] = field(default_factory=dict)
     schedules: Dict[str, SendPlan] = field(default_factory=dict)
     sizing: dict = field(default_factory=dict)
     notes: List[PassNote] = field(default_factory=list)
@@ -131,35 +123,10 @@ class AutoSizeGroupsPass(Pass):
                         f"resized {before[s.name]} -> {sizes[s.name]} ranks")
 
 
-class FuseStagesPass(Pass):
-    name = "fuse-stages"
-
-    def run(self, ir: GraphIR) -> None:
-        if not ir.options.fuse:
-            ir.note(self.name, "", "disabled; interpreted "
-                    "execute/run_decoupled layering kept")
-            return
-        graph = ir.graph
-        for s in graph.stages:
-            frames = ["execute", "run_decoupled", "stage-body wrapper",
-                      "attach"]
-            if s.body is None:
-                frames.append("default-consumer loop")
-            ir.fused[s.name] = frames
-            nflows = len(graph.flows_in(s.name)) + len(graph.flows_out(s.name))
-            ir.note(self.name, s.name,
-                    f"fused {' + '.join(frames)} into one driver frame "
-                    f"({nflows} flow(s) attached inline)")
-
-
 class EmitSchedulesPass(Pass):
     name = "emit-schedules"
 
     def run(self, ir: GraphIR) -> None:
-        if not ir.options.schedule:
-            ir.note(self.name, "", "disabled; per-element destination/"
-                    "delay derivation kept")
-            return
         plan = ir.plan
         machine = ir.machine
         for f in ir.graph.flows:
@@ -195,6 +162,9 @@ class EmitSchedulesPass(Pass):
                     detail += (f", inject {sched.inject_dt:.3g}s, "
                                f"o_send {sched.osend_dt:.3g}s, "
                                f"eager <= {sched.eager_threshold}B")
+                detail += ("; producers send through engine batch-drain "
+                           "segments (binds per run when the machine is "
+                           "noise-free, trace-free and fault-free)")
                 ir.note(self.name, f.name, detail)
             else:
                 ir.note(self.name, f.name,
@@ -202,33 +172,8 @@ class EmitSchedulesPass(Pass):
                         "resolve per element")
 
 
-class EngineSegmentsPass(Pass):
-    name = "engine-segments"
-
-    def run(self, ir: GraphIR) -> None:
-        if not ir.options.batch:
-            ir.note(self.name, "", "disabled; emitted schedules are "
-                    "informational only")
-            return
-        if not ir.schedules:
-            ir.note(self.name, "", "nothing to bind (no schedules emitted)")
-            return
-        for name, sched in ir.schedules.items():
-            if not sched.static:
-                ir.note(self.name, name,
-                        f"interpreted ({sched.reason})")
-                continue
-            sched.segments = True
-            ir.note(self.name, name,
-                    "producers send through engine batch-drain segments "
-                    "(window admission + transport hand-off without "
-                    "generator round-trips; binds per run when the "
-                    "machine is noise-free, trace-free and fault-free)")
-
-
 #: the fixed pipeline, in contract order
-PIPELINE = (AutoSizeGroupsPass, FuseStagesPass, EmitSchedulesPass,
-            EngineSegmentsPass)
+PIPELINE = (AutoSizeGroupsPass, EmitSchedulesPass)
 
 
 class PipelineReport:

@@ -107,12 +107,13 @@ def run(fn: Callable, nprocs: int,
         Incompatible with the oracle's ``engine_factory`` injection.
     compile:
         Opt into the plan compiler (:mod:`repro.compile`): ``True``,
-        a ``CompileOptions`` or its dict form.  Installs the compiled
-        execution hooks on the world — graph executions take the fused
-        driver and eligible streams send through engine schedule
-        segments, bit-identical to the interpreted path.  Silently
-        bypassed under fault injection or oracle slow-path injection
-        (both need the interpreted generator layering).
+        a ``CompileOptions`` or its dict form.  Installs the options on
+        the world (graph executions follow an ``auto_alpha``-resized
+        plan) and, on serial runs, the send-cursor binder — eligible
+        streams send through engine schedule segments, bit-identical
+        to the interpreted path.  Silently bypassed under fault
+        injection or oracle slow-path injection (both need the
+        interpreted send path).
     parallel:
         Opt into partitioned execution (:mod:`repro.parallel`):
         ``True``, a shard count, an options dict or
@@ -123,8 +124,9 @@ def run(fn: Callable, nprocs: int,
         ``extras["parallel"]``.  Silently bypassed under fault
         injection, oracle slow-path injection or an explicit
         ``scheduler=`` (the same rule as ``compile=``); an active
-        parallel run in turn keeps ``compile=`` uninstalled (the
-        partitioned merge drives the interpreted path).
+        parallel run in turn leaves send cursors unbound (the
+        partitioned merge drives the interpreted send path) but still
+        honours ``auto_alpha``.
     scheduler:
         Direct :class:`~repro.simmpi.scheduler.Scheduler` injection —
         the seam the parallel subsystem plugs into, also usable by
@@ -221,14 +223,16 @@ def run(fn: Callable, nprocs: int,
             world._compute_fast = False
 
     if compile is not None and compile is not False and plan is None \
-            and par is None \
             and engine_factory is None and mailbox_factory is None \
             and network_factory is None:
         # lazy import: repro.compile sits above simmpi in the layering
         from ..compile.options import resolve_options
-        from ..compile.schedule import bind_send_cursor
         world._compile_opts = resolve_options(compile)
-        world._stream_compiler = bind_send_cursor
+        if par is None:
+            # send cursors push onto the serial heap; partitioned lanes
+            # keep the interpreted send path
+            from ..compile.schedule import bind_send_cursor
+            world._stream_compiler = bind_send_cursor
 
     handles = []
     world_ranks = tuple(range(nprocs))

@@ -1,4 +1,5 @@
-"""The fused driver: compile_graph entry points, memo, handles, explain."""
+"""Compiled mode: compile_graph entry points, memo, the cursor-bound
+producer handle, explain."""
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_memo_returns_one_executable_per_graph_and_options():
     a = executable_for(compiled, CompileOptions())
     b = executable_for(compiled, CompileOptions())
     assert a is b
-    c = executable_for(compiled, CompileOptions(batch=False))
+    c = executable_for(compiled, CompileOptions(granularity=4096.0))
     assert c is not a
 
 
@@ -103,7 +104,7 @@ def test_compiled_producer_handle_rejects_send_after_close():
     def body(ctx):
         with ctx.producer("samples") as out:
             yield from out.send(1.0)
-        observed["type"] = type(out).__name__
+        observed["cursor"] = out._stream._cursor is not None
         try:
             out.send(2.0)
         except GraphError as exc:
@@ -117,8 +118,15 @@ def test_compiled_producer_handle_rejects_send_after_close():
              .flow("samples", "compute", "analyze",
                    operator=RunningStats))
     Simulation(2, machine="quiet", compile=True).run(graph)
-    assert observed["type"] == "CompiledProducerHandle"
+    assert observed["cursor"]
     assert "closed producer" in observed["error"]
+
+
+def test_plain_compile_runs_never_run_the_pipeline():
+    _exe_memo.clear()
+    report = Simulation(NPROCS, machine="quiet", compile=True).run(_graph())
+    assert report.elapsed > 0
+    assert _exe_memo == {}
 
 
 def test_bad_compile_spec_rejected_at_simulation():
@@ -142,10 +150,10 @@ def test_simulation_explain_renders_the_pipeline():
 
 
 def test_simulation_explain_honours_compile_options():
-    sim = Simulation(NPROCS, machine="quiet",
-                     compile={"batch": False, "schedule": True})
+    sim = Simulation(NPROCS, machine="quiet", compile={"auto_alpha": True})
     text = sim.explain(_graph())
-    assert "disabled; emitted schedules are informational only" in text
+    assert "declare no work= hint" in text
+    assert "disabled (auto_alpha=False)" not in text
 
 
 def test_simulation_explain_size_mismatch_rejected():

@@ -1,5 +1,7 @@
 """CompileOptions resolution and validation (repro.compile.options)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.compile import CompileOptions, DEFAULT_OPTIONS, resolve_options
@@ -11,16 +13,17 @@ def test_off_spellings_resolve_to_none():
 
 
 def test_true_resolves_to_the_shared_defaults():
-    # identity matters: launcher runs with compile=True must share one
-    # options object so they hit the executable memo
     assert resolve_options(True) is DEFAULT_OPTIONS
-    assert DEFAULT_OPTIONS.fuse and DEFAULT_OPTIONS.schedule
-    assert DEFAULT_OPTIONS.batch
     assert not DEFAULT_OPTIONS.auto_alpha
 
 
+def test_options_are_only_the_sizing_inputs():
+    assert [f.name for f in fields(CompileOptions)] == [
+        "auto_alpha", "volume", "granularity", "beta"]
+
+
 def test_options_object_passes_through():
-    opts = CompileOptions(batch=False)
+    opts = CompileOptions(granularity=4096.0)
     assert resolve_options(opts) is opts
 
 
@@ -30,20 +33,14 @@ def test_dict_builds_options():
 
 
 def test_bad_dict_key_rejected():
-    with pytest.raises(ValueError, match="bad compile options"):
-        resolve_options({"fuze": True})
+    for spec in ({"fuze": True}, {"batch": False}):
+        with pytest.raises(ValueError, match="bad compile options"):
+            resolve_options(spec)
 
 
 def test_bad_type_rejected():
     with pytest.raises(ValueError, match="compile must be"):
         resolve_options("yes please")
-
-
-def test_batch_requires_schedule():
-    with pytest.raises(ValueError, match="enable schedule"):
-        CompileOptions(schedule=False, batch=True)
-    # disabling both together is fine
-    CompileOptions(schedule=False, batch=False)
 
 
 @pytest.mark.parametrize("field", ["volume", "granularity"])
@@ -59,4 +56,4 @@ def test_options_are_hashable_memo_keys():
     a = CompileOptions()
     b = CompileOptions()
     assert hash(a) == hash(b) and a == b
-    assert CompileOptions(batch=False) != a
+    assert CompileOptions(auto_alpha=True) != a

@@ -40,24 +40,13 @@ def _ir(graph=None, options=None, machine=None):
 
 def test_pipeline_order_is_the_documented_contract():
     assert [cls.name for cls in PIPELINE] == [
-        "auto-size-groups", "fuse-stages", "emit-schedules",
-        "engine-segments"]
-
-
-def test_fuse_records_collapsed_frames_per_stage():
-    ir = _ir()
-    assert set(ir.fused) == {"src", "dst"}
-    assert "execute" in ir.fused["src"]
-    assert "run_decoupled" in ir.fused["src"]
-    # only the bodyless consumer absorbs the default-consumer loop
-    assert "default-consumer loop" in ir.fused["dst"]
-    assert "default-consumer loop" not in ir.fused["src"]
+        "auto-size-groups", "emit-schedules"]
 
 
 def test_static_flow_emits_the_runtime_routing_table():
     ir = _ir(machine=quiet_testbed())
     sched = ir.schedules["f"]
-    assert sched.static and sched.segments
+    assert sched.static
     assert sched.tag == 1 and sched.window == 4
     # the emitted table IS the channel layer's table (shared cache)
     assert sched.peers is blocked_peers(6, 2)
@@ -78,8 +67,11 @@ def test_unbound_machine_leaves_delay_constants_unresolved():
 def test_routed_flow_stays_interpreted():
     ir = _ir(_graph(router=lambda element, nconsumers: 0))
     sched = ir.schedules["f"]
-    assert not sched.static and not sched.segments
+    assert not sched.static
     assert sched.reason == "custom router"
+    note = next(n for n in ir.notes if n.subject == "f")
+    assert "kept interpreted" in note.detail
+    assert "segments" not in note.detail
     assert sched.peers is None
     assert sched.fan_in() == "per-element routing"
 
@@ -87,23 +79,8 @@ def test_routed_flow_stays_interpreted():
 def test_checkpointed_flow_stays_interpreted():
     ir = _ir(_graph(checkpoint=Checkpoint(interval=2)))
     sched = ir.schedules["f"]
-    assert not sched.static and not sched.segments
+    assert not sched.static
     assert "checkpointed" in sched.reason
-
-
-def test_disabled_passes_leave_notes_not_rewrites():
-    ir = _ir(options=CompileOptions(fuse=False, schedule=False,
-                                    batch=False))
-    assert ir.fused == {} and ir.schedules == {}
-    details = {(n.pass_name, n.subject): n.detail for n in ir.notes}
-    assert "disabled" in details[("fuse-stages", "")]
-    assert "disabled" in details[("emit-schedules", "")]
-
-
-def test_batch_off_keeps_schedules_informational():
-    ir = _ir(options=CompileOptions(batch=False))
-    assert ir.schedules["f"].static
-    assert not ir.schedules["f"].segments
 
 
 def test_uneven_fan_in_renders_a_range():
@@ -138,6 +115,7 @@ def test_explain_report_names_every_pass():
     for cls in PIPELINE:
         assert f"pass {cls.name}:" in text
     assert "batch-drain segments" in text
+    assert "noise-free, trace-free and fault-free" in text
     assert "blocked routing" in text
 
 

@@ -1,10 +1,14 @@
 """The declarative front-end's parallel opt-in: graph-derived shards,
 bit-identical results, and the explain() partition report."""
 
+from collections import Counter
+
 import pytest
 
 from repro.api import GraphError, Simulation, StreamGraph
+from repro.bench.perf import result_digest
 from repro.mpistream import RunningStats
+from repro.simmpi import quiet_testbed
 
 NPROCS = 16
 ROUNDS = 12
@@ -73,6 +77,41 @@ def test_eager_cut_still_bit_identical():
                      parallel=2).run(_graph(eager=True))
     assert par.elapsed == serial.elapsed
     assert par.stage_values("analyze") == serial.stage_values("analyze")
+
+
+def _sizable_graph():
+    def compute_body(ctx):
+        with ctx.producer("samples") as out:
+            for rnd in range(4):
+                yield from ctx.compute(0.01 * (1 + rnd % 2))
+                yield from out.send(1.0)
+
+    return (StreamGraph("sizable")
+            .stage("compute", fraction=0.75, body=compute_body, work=0.9)
+            .stage("analyze", fraction=0.25, work=0.1)
+            .flow("samples", src="compute", dst="analyze",
+                  operator=RunningStats))
+
+
+def test_parallel_runs_the_auto_sized_plan():
+    """auto_alpha resizes the plan; the parallel run must execute the
+    same plan its report (and its shards) claim, exactly like serial."""
+    compile = {"auto_alpha": True}
+    serial = Simulation(8, quiet_testbed(), compile=compile) \
+        .run(_sizable_graph())
+    par = Simulation(8, quiet_testbed(), compile=compile, parallel=2) \
+        .run(_sizable_graph())
+    sizes = {name: g.size for name, g in par.plan.groups.items()}
+    assert sizes == {"compute": 7, "analyze": 1}
+    assert Counter(r.stage for r in par.records) == sizes
+    assert Counter(r.stage for r in serial.records) == sizes
+    assert result_digest(par.sim) == result_digest(serial.sim)
+    assert par.elapsed == serial.elapsed
+    # explain's partition block cuts the same plan the run shards on
+    text = Simulation(8, quiet_testbed(), compile=compile,
+                      parallel=2).explain(_sizable_graph())
+    assert "lane 0: ranks 0-6 (7 ranks)" in text
+    assert sorted(par.sim.extras["parallel"]["shard_sizes"]) == [1, 7]
 
 
 def test_invalid_parallel_is_a_graph_error():

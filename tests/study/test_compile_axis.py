@@ -30,7 +30,7 @@ def _job(compile=None, nprocs=8):
 def test_cache_key_incorporates_compile_spec():
     assert job_key(_job()) != job_key(_job(compile=True))
     assert job_key(_job(compile=True)) != \
-        job_key(_job(compile={"batch": False}))
+        job_key(_job(compile={"granularity": 4096.0}))
     renamed = dict(_job(compile=True), series="renamed")
     assert job_key(renamed) == job_key(_job(compile=True))
 
