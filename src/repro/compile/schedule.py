@@ -18,8 +18,11 @@ sequence per element, mirroring ``Stream.isend``:
 
 1. injection charge: one ``Delay``-equivalent event (skipped when the
    flow's ``element_overhead`` is 0);
-2. window admission: pop the oldest in-flight request; if unfinished,
-   wait on its flag (the cursor itself enrolls as the flag waiter);
+2. window admission (:func:`~repro.mpistream.stream.admit_to_window`,
+   shared with the interpreted path): retire completed requests from
+   the head, then pop the oldest in-flight request when the window is
+   full and wait on its flag (the cursor itself enrolls as the flag
+   waiter);
 3. ``o_send`` charge: one event (skipped when the machine's o_send is 0);
 4. transport hand-off: ``World.post_send`` inlined for both protocols —
    eager commits the NIC transfer and pushes delivery + sender-free with
@@ -40,6 +43,7 @@ from heapq import heappush as _heappush
 from typing import Any, Optional
 
 from ..mpistream.element import element_nbytes
+from ..mpistream.stream import admit_to_window
 from ..simmpi.engine import Segment
 from ..simmpi.errors import RequestError
 from ..simmpi.matching import Envelope
@@ -149,13 +153,10 @@ class _SendCursor:
                                      engine._seq, self._after_inject))
             return True
         # zero injection cost: fall through to window admission now
-        pending = self.pending
-        if len(pending) >= self.window:
-            oldest = pending.popleft()
-            oldest._waited = True
-            if not oldest.is_set:
-                oldest._waiters.append(self)
-                return True
+        oldest = admit_to_window(self.pending, self.window)
+        if oldest is not None:
+            oldest._waiters.append(self)
+            return True
         if self.osend_dt > 0.0:
             engine._seq += 1
             _heappush(engine._heap, (engine.now + self.osend_dt,
@@ -165,13 +166,10 @@ class _SendCursor:
         return False  # fully synchronous: _step continues the body inline
 
     def _after_inject(self) -> None:
-        pending = self.pending
-        if len(pending) >= self.window:
-            oldest = pending.popleft()
-            oldest._waited = True
-            if not oldest.is_set:
-                oldest._waiters.append(self)
-                return
+        oldest = admit_to_window(self.pending, self.window)
+        if oldest is not None:
+            oldest._waiters.append(self)
+            return
         self._after_window()
 
     def _after_window(self) -> None:

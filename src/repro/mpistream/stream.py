@@ -59,6 +59,34 @@ DEFAULT_WINDOW = 64
 ACK_TAG_BASE = 1 << 16
 
 
+def admit_to_window(pending: Deque, window: int):
+    """Window admission for one new send; returns the request to block
+    on, or None when the send may proceed at once.
+
+    First retires completed requests from the head of ``pending`` (in
+    place: a compiled send cursor shares the deque), so a producer keeps
+    only its in-flight sends instead of every send since the last
+    flush.  Then the window rule: when ``window`` requests are pending,
+    pop the oldest and block on it.  After the trim that head is never
+    complete, so a popped request always blocks.
+
+    Identical to "pop the oldest when full, block if unset" on the
+    untrimmed deque while sends are only appended one per admission
+    (the pristine and compiled paths): the trimmed deque is a suffix of
+    the untrimmed one, so it is full only when nothing was trimmed, and
+    a dropped head is one the untrimmed rule would have popped without
+    waiting.  Fault mode replays past ``window`` and keeps its own
+    untrimmed rule.
+    """
+    while pending and pending[0].is_set:
+        pending.popleft()
+    if len(pending) >= window:
+        oldest = pending.popleft()
+        oldest._waited = True
+        return oldest
+    return None
+
+
 class Stream:
     """One attached data stream over a :class:`StreamChannel`."""
 
@@ -148,7 +176,9 @@ class Stream:
         transport.  When ``window`` elements are already in flight, the
         oldest is waited for before the new one is injected, so at most
         ``window`` elements are ever pending (bounded buffering,
-        Section II-D's memory argument).
+        Section II-D's memory argument).  Completed sends are retired at
+        each admission, so only in-flight ones are kept
+        (:func:`admit_to_window`).
         """
         cur = self._cursor
         if cur is not None:
@@ -182,19 +212,16 @@ class Stream:
                 yield inject
             else:
                 yield from comm.compute(overhead, label="stream-inject")
-        if len(self._pending) >= self.window:
-            oldest = self._pending.popleft()
-            # comm.wait inlined (label "stream-window"): the window is
-            # normally full in steady state, so this runs per element
-            oldest._waited = True
-            if not oldest.is_set:
-                world = comm.world
-                engine = world.engine
-                t0 = engine.now
-                yield WaitFlag(oldest)
-                if world.tracer is not None and engine.now > t0:
-                    world.tracer.record(comm.global_rank, "wait",
-                                        "stream-window", t0, engine.now)
+        oldest = admit_to_window(self._pending, self.window)
+        if oldest is not None:
+            # comm.wait inlined (label "stream-window")
+            world = comm.world
+            engine = world.engine
+            t0 = engine.now
+            yield WaitFlag(oldest)
+            if world.tracer is not None and engine.now > t0:
+                world.tracer.record(comm.global_rank, "wait",
+                                    "stream-window", t0, engine.now)
         dest = (self._static_dest if self._static_dest is not None
                 else self._dest(data))
         payload = (self._seq, data)

@@ -1,8 +1,11 @@
 """Integration tests for the MPIStream library."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.mpistream import (
+    DEFAULT_WINDOW,
     Aggregator,
     Collector,
     ReduceByKey,
@@ -290,15 +293,55 @@ def test_window_bounds_inflight():
         ch = yield from create_channel(comm, is_prod, is_cons)
         s = yield from attach(ch, Collector(), window=4)
         if is_prod:
+            peak = 0
             for i in range(100):
                 yield from s.isend(i)
+                peak = max(peak, len(s._pending))
             yield from s.terminate()
-            return len(s._pending)
+            return peak, len(s._pending)
         yield from s.operate()
         return None
 
     r = run(prog, 2)
-    assert r.values[0] == 0  # terminate flushed everything
+    peak, left = r.values[0]
+    assert peak <= 4  # never more than `window` sends pending
+    assert left == 0  # terminate flushed everything
+
+
+def _no_osend_testbed():
+    # with o_send = 0 window admission and the transport hand-off happen
+    # at one instant, so right after isend the deque's head is exactly
+    # what admission left there
+    cfg = quiet_testbed()
+    return replace(cfg, network=replace(cfg.network, o_send=0.0))
+
+
+@pytest.mark.parametrize("compile", [False, True],
+                         ids=["interpreted", "compiled"])
+def test_window_keeps_only_inflight_sends(compile):
+    """A producer whose consumer keeps up holds its in-flight sends,
+    not every completed send since the last flush."""
+    def prog(comm):
+        is_prod, is_cons = _roles(comm)
+        ch = yield from create_channel(comm, is_prod, is_cons)
+        s = yield from attach(ch, Collector())
+        if is_prod:
+            peak, completed_heads = 0, 0
+            for i in range(600):
+                yield from s.isend(i)
+                pending = s._pending
+                peak = max(peak, len(pending))
+                completed_heads += pending[0].is_set
+            yield from s.terminate()
+            return s._cursor is not None, peak, completed_heads
+        yield from s.operate()
+        return None
+
+    r = run(prog, 2, machine=_no_osend_testbed(), compile=compile)
+    compiled, peak, completed_heads = r.values[0]
+    assert compiled == compile
+    assert peak <= 2 < DEFAULT_WINDOW
+    assert completed_heads == 0
 
 
 def test_role_errors():
