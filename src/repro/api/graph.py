@@ -296,6 +296,9 @@ class CompiledGraph:
     def __init__(self, graph: StreamGraph, plan: DecouplingPlan):
         self.graph = graph
         self.plan = plan
+        #: stage name -> body, built on the first execute() and shared
+        #: by every rank (a body keeps no per-rank state of its own)
+        self._bodies: Optional[Dict[str, Body]] = None
 
     @property
     def total_procs(self) -> int:
@@ -306,17 +309,21 @@ class CompiledGraph:
 
         When the run's compile options set ``auto_alpha`` (and no fault
         controller is active) the groups follow the plan compiler's
-        resized plan; otherwise the declared plan.  Compiled mode needs
-        nothing else here: eligible producer streams bind their send
-        cursor when they attach.
+        plan, sized for the run's machine; otherwise the declared plan.
+        Compiled mode needs nothing else here: eligible producer streams
+        bind their send cursor when they attach.
         """
         plan = self.plan
-        opts = world.world._compile_opts
+        transport = world.world
+        opts = transport._compile_opts
         if opts is not None and opts.auto_alpha \
-                and world.world._fault_ctl is None:
+                and transport._fault_ctl is None:
             from ..compile.executor import executable_for  # lazy: upper layer
-            plan = executable_for(self, opts).plan
-        bodies = {s.name: self._make_body(s) for s in self.graph.stages}
+            plan = executable_for(self, opts, transport.config).plan
+        bodies = self._bodies
+        if bodies is None:
+            bodies = self._bodies = {s.name: self._make_body(s)
+                                     for s in self.graph.stages}
         return run_decoupled(world, plan, bodies)
 
     # ------------------------------------------------------------------

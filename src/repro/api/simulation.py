@@ -271,7 +271,7 @@ class Simulation:
         if opts is None or not opts.auto_alpha or self.faults is not None:
             return compiled.plan
         from ..compile.executor import executable_for
-        return executable_for(compiled, opts).plan
+        return executable_for(compiled, opts, self.machine).plan
 
     def _graph_parallel(self, plan):
         """Graph runs shard on the plan's group blocks (a stage never

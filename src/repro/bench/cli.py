@@ -306,16 +306,22 @@ def run_perf(args) -> int:
         return 1
     print(perf.render_report(payload))
     if args.require_compiled_speedup:
+        # the suite's legs are single isolated runs, too noisy to gate
+        # on; the gate measures its own interleaved best-of-N legs
+        gates = payload["compiled_gate"] = {}
         for spec in args.require_compiled_speedup:
             name, _, ratio = spec.partition(":")
             try:
+                gates[name] = perf.interleaved_legs(name)
                 got = perf.require_compiled_at_least(
-                    payload, name, float(ratio) if ratio else 1.0)
+                    {"scenarios": gates}, name,
+                    float(ratio) if ratio else 1.0)
             except perf.PerfError as exc:
                 print(f"FAIL: {exc}", file=sys.stderr)
                 return 1
             print(f"compiled-speedup gate OK: {name} at {got:.3f}x "
-                  "the interpreted events/sec")
+                  f"the interpreted events/sec (best of "
+                  f"{gates[name]['rounds']} interleaved rounds)")
     path = perf.save_payload(payload, out_dir=args.out)
     print(f"\nartifact: {path}")
     return 0
@@ -414,7 +420,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                             help="after the suite, exit 1 unless the "
                                  "compiled leg of NAME reached at least "
                                  "RATIO (default 1.0) x the interpreted "
-                                 "events/sec (repeatable)")
+                                 "events/sec, both legs best-of-N over "
+                                 "interleaved rounds in one process "
+                                 "(repeatable)")
     args = parser.parse_args(argv)
     if args.figure == "perf":
         return run_perf(args)

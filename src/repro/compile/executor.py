@@ -71,19 +71,26 @@ def compile_graph(target: Union[StreamGraph, CompiledGraph],
 
 #: per-CompiledGraph executable memo: an auto_alpha run calls
 #: execute() once per rank, and the specialization is a pure function of
-#: (graph identity, options).  Entries carry the graph itself so a
-#: recycled id() can never alias (same scheme as _channel_groups).
+#: (graph identity, options, machine).  Entries carry the graph and the
+#: machine themselves so a recycled id() can never alias (same scheme
+#: as _channel_groups).
 _exe_memo: Dict[tuple, tuple] = {}
 
 
-def executable_for(compiled: CompiledGraph,
-                   options: CompileOptions) -> ExecutableGraph:
-    key = (id(compiled), options)
+def executable_for(compiled: CompiledGraph, options: CompileOptions,
+                   machine=None) -> ExecutableGraph:
+    """The memoized :func:`compile_graph` of ``compiled`` for one run.
+
+    A run passes its ``MachineConfig`` so the sizing pass reads the
+    machine's noise model (T_sigma), exactly as
+    :meth:`~repro.api.simulation.Simulation.explain` does; without a
+    machine the pipeline sizes with T_sigma = 0."""
+    key = (id(compiled), options, id(machine))
     hit = _exe_memo.get(key)
-    if hit is not None and hit[0] is compiled:
-        return hit[1]
+    if hit is not None and hit[0] is compiled and hit[1] is machine:
+        return hit[2]
     if len(_exe_memo) >= 64:
         _exe_memo.clear()
-    exe = compile_graph(compiled, options=options)
-    _exe_memo[key] = (compiled, exe)
+    exe = compile_graph(compiled, machine=machine, options=options)
+    _exe_memo[key] = (compiled, machine, exe)
     return exe

@@ -96,6 +96,11 @@ class _ChannelGroups:
 class StreamChannel:
     """A directional dataflow link between two groups of processes."""
 
+    # one per member rank of every channel: slotted
+    __slots__ = ("comm", "producers", "consumers", "_groups",
+                 "_producer_index", "_consumer_index", "is_producer",
+                 "is_consumer", "_next_stream_tag", "freed")
+
     def __init__(self, comm: Comm, producers: List[int], consumers: List[int],
                  groups: Optional[_ChannelGroups] = None):
         if not producers or not consumers:

@@ -10,8 +10,21 @@ communication" (Section II-E).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import List
+from functools import partial
+
+
+class ArrivalTimes(array):
+    """Arrival times as packed doubles (8 B each instead of a list slot
+    plus a float object, 32 B).  Its repr is the list's, so the
+    dataclass repr of a :class:`StreamProfile`, which result digests
+    hash, is unchanged."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return repr(self.tolist())
 
 
 @dataclass
@@ -24,7 +37,8 @@ class StreamProfile:
     bytes_received: int = 0
     overhead_paid: float = 0.0        # injection overhead, seconds
     terminates_seen: int = 0
-    arrival_times: List[float] = field(default_factory=list)
+    arrival_times: ArrivalTimes = field(
+        default_factory=partial(ArrivalTimes, "d"))
     service_start: float = 0.0
     service_end: float = 0.0
     # recovery accounting (repro.faults) — repr=False keeps fault-free

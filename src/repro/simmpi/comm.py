@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import partial
 from heapq import heappush as _heappush
+from sys import intern as _intern
 from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
 
 from .config import MachineConfig
@@ -310,7 +311,16 @@ class World:
 
 
 class Comm:
-    """Per-rank communicator handle (mirrors the mpi4py object API)."""
+    """Per-rank communicator handle (mirrors the mpi4py object API).
+
+    One exists per member rank of every communicator, so the handle is
+    slotted and shares what all members hold alike: the ranks tuple and
+    the (interned) name."""
+
+    __slots__ = ("world", "ranks", "_global", "_rank", "context",
+                 "context_coll", "name", "_coll_seq", "_create_seq",
+                 "_freed", "rank", "size", "global_rank", "node_hint",
+                 "node_hint_ok", "_fault_acked", "_win_seq")
 
     #: intracommunicators address their own members; :class:`Intercomm`
     #: overrides this (fault gates and streams branch on it cheaply)
@@ -328,7 +338,8 @@ class Comm:
                       if my_local is None else my_local)
         self.context = context_p2p
         self.context_coll = context_coll
-        self.name = name
+        # every member builds the same name: keep one copy of it
+        self.name = _intern(name) if name.__class__ is str else name
         self._coll_seq = 0
         self._create_seq = 0
         self._freed = False
@@ -940,6 +951,8 @@ class Intercomm(Comm):
     :meth:`failed_members` reports dead **remote** ranks, since only
     remote peers carry intercomm traffic.
     """
+
+    __slots__ = ("remote_ranks", "remote_size")
 
     is_inter = True
 

@@ -102,6 +102,14 @@ def _compatible(source: int, tag: int, context: int, env: Envelope) -> bool:
 #: (and a floor so tiny mailboxes never bother)
 _PRUNE_MIN = 64
 
+#: a bucket starts as a list and becomes a deque when it reaches this
+#: length.  Almost every bucket holds one entry (a rank blocked in one
+#: receive, one unexpected message per peer), and an empty deque costs
+#: 760 B against a one-entry list's 64 B; past this length the deque's
+#: O(1) head pop wins.  Both types serve ``b[0]``, ``del b[0]``,
+#: ``append`` and iteration, which is all the mailbox uses.
+_LONG_BUCKET = 32
+
 
 class Mailbox:
     """Per-rank matching state: posted receives + unexpected messages.
@@ -126,10 +134,11 @@ class Mailbox:
                  "peak_posted", "peak_unexpected")
 
     def __init__(self) -> None:
-        # pattern key -> deque of (seq, PostedRecv)
-        self._posted: Dict[Tuple[int, int, int], Deque] = {}
-        # candidate key -> deque of [seq, Envelope, alive, ncopies]
-        self._unexpected: Dict[Tuple[int, int, int], Deque] = {}
+        # buckets are lists, deques once long (see _LONG_BUCKET)
+        # pattern key -> bucket of (seq, PostedRecv)
+        self._posted: Dict[Tuple[int, int, int], Any] = {}
+        # candidate key -> bucket of [seq, Envelope, alive, ncopies]
+        self._unexpected: Dict[Tuple[int, int, int], Any] = {}
         self._seq = 0
         self._nposted = 0
         self._nunexpected = 0
@@ -188,7 +197,8 @@ class Mailbox:
                     if best_bucket is None or seq < best_seq:
                         best_bucket, best_seq, best_kind = bucket, seq, 4
             if best_bucket is not None:
-                _seq, post = best_bucket.popleft()
+                post = best_bucket[0][1]
+                del best_bucket[0]
                 self._nposted -= 1
                 if best_kind == 1:
                     self._np_exact -= 1
@@ -222,15 +232,17 @@ class Mailbox:
         for key in keys:
             bucket = unexpected.get(key)
             if bucket is None:
-                unexpected[key] = deque((entry,))
+                unexpected[key] = [entry]
             else:
                 # opportunistic head cleaning keeps shadow tombstones
                 # from accumulating in busy buckets (the global prune
                 # is only the backstop for idle ones)
                 while bucket and not bucket[0][2]:
-                    bucket.popleft()
+                    del bucket[0]
                     dead -= 1
                 bucket.append(entry)
+                if len(bucket) == _LONG_BUCKET and bucket.__class__ is list:
+                    unexpected[key] = deque(bucket)
         self._dead = dead
         n = self._nunexpected + 1
         self._nunexpected = n
@@ -269,9 +281,11 @@ class Mailbox:
                 key = (env.context, env.src, ANY_TAG)
             bucket = unexpected.get(key)
             if bucket is None:
-                unexpected[key] = deque((entry,))
+                unexpected[key] = [entry]
             else:
                 bucket.append(entry)
+                if len(bucket) == _LONG_BUCKET and bucket.__class__ is list:
+                    unexpected[key] = deque(bucket)
             entry[3] += 1
 
     def post(self, post: PostedRecv) -> Optional[Envelope]:
@@ -291,7 +305,7 @@ class Mailbox:
             while bucket:
                 entry = bucket[0]
                 if entry[2]:
-                    bucket.popleft()
+                    del bucket[0]
                     if not bucket:
                         del self._unexpected[(post.context, source, tag)]
                     entry[2] = False
@@ -302,15 +316,17 @@ class Mailbox:
                     env = entry[1]
                     post.on_match(env)
                     return env
-                bucket.popleft()
+                del bucket[0]
                 self._dead -= 1
         self._seq += 1
-        pbucket = self._posted.get((post.context, source, tag))
+        key = (post.context, source, tag)
+        pbucket = self._posted.get(key)
         if pbucket is None:
-            self._posted[(post.context, source, tag)] = \
-                deque(((self._seq, post),))
+            self._posted[key] = [(self._seq, post)]
         else:
             pbucket.append((self._seq, post))
+            if len(pbucket) == _LONG_BUCKET and pbucket.__class__ is list:
+                self._posted[key] = deque(pbucket)
         if source_wild:
             if tag_wild:
                 self._np_anyany += 1
@@ -343,7 +359,7 @@ class Mailbox:
                 entry = bucket[0]
                 if entry[2]:
                     return entry[1]
-                bucket.popleft()
+                del bucket[0]
                 self._dead -= 1
         return None
 
@@ -412,8 +428,10 @@ class Mailbox:
         unexpected = self._unexpected
         for key in list(unexpected):
             bucket = unexpected[key]
-            alive = deque(e for e in bucket if e[2])
-            if alive:
+            alive = [e for e in bucket if e[2]]
+            if len(alive) >= _LONG_BUCKET:
+                unexpected[key] = deque(alive)
+            elif alive:
                 unexpected[key] = alive
             else:
                 del unexpected[key]

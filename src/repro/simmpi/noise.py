@@ -26,7 +26,7 @@ runs that only differ elsewhere see identical noise.
 from __future__ import annotations
 
 import math
-from typing import Dict
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -34,22 +34,36 @@ from .config import NoiseConfig
 
 
 class NoiseModel:
-    """Deterministic per-rank compute-time inflation."""
+    """Deterministic per-rank compute-time inflation.
+
+    Rank ``r``'s draws come from ``default_rng(SeedSequence(entropy=
+    seed, spawn_key=(r,)))``.  Per-rank state lives in rank-indexed
+    lists; the generators of all ``nranks`` ranks are derived in one
+    :func:`repro.workloads.keyed.generators` batch on the first draw, so
+    no rank keeps a ``SeedSequence``.  Ranks outside ``[0, nranks)``
+    (direct model queries) get the same streams through small dicts.
+    """
 
     def __init__(self, config: NoiseConfig, nranks: int):
         config.validate()
         self.config = config
         self.nranks = nranks
-        self._skew: Dict[int, float] = {}
-        self._rngs: Dict[int, np.random.Generator] = {}
+        self._skew: List[Optional[float]] = [None] * nranks
+        self._rngs: List[np.random.Generator] = []   # filled on first draw
+        self._skew_outside: Dict[int, float] = {}
+        self._rngs_outside: Dict[int, np.random.Generator] = {}
 
     def _rng(self, rank: int) -> np.random.Generator:
-        rng = self._rngs.get(rank)
+        from ..workloads.keyed import generators, keyed_rng  # lazy: port
+        if 0 <= rank < self.nranks:
+            if not self._rngs:
+                keys = np.arange(self.nranks, dtype=np.int64).reshape(-1, 1)
+                self._rngs = list(generators(self.config.seed, (), keys))
+            return self._rngs[rank]
+        rng = self._rngs_outside.get(rank)
         if rng is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self.config.seed, spawn_key=(rank,))
-            )
-            self._rngs[rank] = rng
+            rng = self._rngs_outside[rank] = keyed_rng(
+                self.config.seed, (), (rank,))
         return rng
 
     def persistent_factor(self, rank: int) -> float:
@@ -60,21 +74,26 @@ class NoiseModel:
         for synchronization cost is the spread, and flooring keeps
         calibrated absolute times stable under noise sweeps.
         """
-        factor = self._skew.get(rank)
+        inside = 0 <= rank < self.nranks
+        factor = (self._skew[rank] if inside
+                  else self._skew_outside.get(rank))
         if factor is None:
             sigma = self.config.persistent_skew
             if sigma <= 0:
                 factor = 1.0
             else:
                 factor = max(1.0, float(self._rng(rank).lognormal(0.0, sigma)))
-            self._skew[rank] = factor
+            if inside:
+                self._skew[rank] = factor
+            else:
+                self._skew_outside[rank] = factor
         return factor
 
     def inflate(self, rank: int, duration: float) -> float:
         """Actual virtual-time cost of ``duration`` nominal compute seconds."""
         if duration <= 0:
             return 0.0
-        skew = self._skew.get(rank)
+        skew = self._skew[rank] if 0 <= rank < self.nranks else None
         if skew is None:
             skew = self.persistent_factor(rank)
         actual = duration * skew
@@ -86,9 +105,8 @@ class NoiseModel:
             # `frac * quantum`.  For intervals much longer than a quantum
             # the total concentrates around `frac * duration` (LLN); for
             # short intervals it is bursty.
-            rng = self._rngs.get(rank)
-            if rng is None:
-                rng = self._rng(rank)
+            rngs = self._rngs
+            rng = rngs[rank] if 0 <= rank < len(rngs) else self._rng(rank)
             quanta = duration / config.quantum
             n_events = int(rng.poisson(quanta if quanta > 1e-12 else 1e-12))
             if n_events > 0:

@@ -294,6 +294,8 @@ class _Precomputed(ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32):
+        if self.state is None:
+            raise ValueError("precomputed state already used for seeding")
         if n_words != STATE_WORDS or np.dtype(dtype) != np.uint64:
             raise ValueError(
                 f"precomputed state holds {STATE_WORDS} uint64 words, "
@@ -304,7 +306,12 @@ class _Precomputed(ISeedSequence):
 def _generator(state: np.ndarray) -> np.random.Generator:
     # PCG64 reads the words through a raw pointer: ``state`` must be a
     # C-contiguous uint64 array of STATE_WORDS
-    return np.random.Generator(np.random.PCG64(_Precomputed(state)))
+    seq = _Precomputed(state)
+    gen = np.random.Generator(np.random.PCG64(seq))
+    # seeding copied the words; the generator keeps ``seq`` alive, and
+    # through it a row view that would pin the whole batch of states
+    seq.state = None
+    return gen
 
 
 def generator_from_state(row) -> np.random.Generator:

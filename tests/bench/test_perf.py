@@ -215,6 +215,49 @@ def test_require_compiled_speedup_gate():
         perf.require_compiled_at_least(payload, "nope")
 
 
+def test_interleaved_legs_alternate_and_keep_the_best(monkeypatch):
+    calls = []
+    real = perf.run_scenario
+
+    def recording(name, variant="fast", **kw):
+        calls.append(variant)
+        return real(name, variant, **kw)
+
+    monkeypatch.setattr(perf, "run_scenario", recording)
+    legs = perf.interleaved_legs("quickstart", rounds=3)
+    assert calls == ["fast", "compiled", "compiled", "fast",
+                     "fast", "compiled"]
+    assert legs["rounds"] == 3
+    assert legs["fast"]["digest"] == legs["compiled"]["digest"]
+    assert perf.require_compiled_at_least(
+        {"scenarios": {"quickstart": legs}}, "quickstart", ratio=0.0) > 0
+
+
+def test_interleaved_legs_reject_a_diverging_round(monkeypatch):
+    real = perf.run_scenario
+
+    def forged(name, variant="fast", **kw):
+        rec = real(name, variant, **kw)
+        if variant == "compiled":
+            rec = perf.PerfRecord(**{**rec.__dict__, "digest": "0" * 64})
+        return rec
+
+    monkeypatch.setattr(perf, "run_scenario", forged)
+    with pytest.raises(perf.PerfError, match="round 0 diverged"):
+        perf.interleaved_legs("quickstart", rounds=1)
+
+
+def test_cli_compiled_speedup_gate_uses_interleaved_legs(tmp_path, capsys):
+    assert cli_main(["perf", "--scenario", "quickstart", "--no-oracle",
+                     "--require-compiled-speedup", "quickstart:0.0",
+                     "--out", str(tmp_path)]) == 0
+    assert "interleaved rounds" in capsys.readouterr().out
+    payload = json.loads((tmp_path / "BENCH_perf.json").read_text())
+    gate = payload["compiled_gate"]["quickstart"]
+    assert gate["rounds"] == perf.GATE_ROUNDS
+    assert gate["compiled"]["digest"] == gate["fast"]["digest"]
+
+
 def test_suite_carries_the_compiled_leg():
     payload = perf.run_suite(["quickstart"], check_oracle=False, repeats=1)
     entry = payload["scenarios"]["quickstart"]

@@ -1,6 +1,8 @@
 """Compiled mode: compile_graph entry points, memo, the cursor-bound
 producer handle, explain."""
 
+import re
+
 import pytest
 
 from repro.api import GraphError, Simulation, StreamGraph
@@ -8,6 +10,7 @@ from repro.bench.perf import result_digest
 from repro.compile import CompileOptions, compile_graph
 from repro.compile.executor import _exe_memo, executable_for
 from repro.mpistream import RunningStats
+from repro.simmpi.config import beskow
 
 NPROCS = 16
 ROUNDS = 12
@@ -74,11 +77,26 @@ def test_memo_returns_one_executable_per_graph_and_options():
 def test_memo_identity_guard_rejects_recycled_ids():
     compiled = _graph().compile(NPROCS)
     exe = executable_for(compiled, CompileOptions())
-    key = (id(compiled), CompileOptions())
+    key = (id(compiled), CompileOptions(), id(None))
     # forge a stale entry: same id, different graph object -> miss
-    _exe_memo[key] = (_graph().compile(NPROCS), exe)
+    _exe_memo[key] = (_graph().compile(NPROCS), None, exe)
     fresh = executable_for(compiled, CompileOptions())
     assert fresh is not exe
+    _exe_memo.clear()
+
+
+def test_memo_keys_on_the_machine():
+    compiled = _graph().compile(NPROCS)
+    machine = beskow()
+    unbound = executable_for(compiled, CompileOptions())
+    bound = executable_for(compiled, CompileOptions(), machine)
+    assert bound is not unbound
+    assert executable_for(compiled, CompileOptions(), machine) is bound
+    # a recycled machine id never aliases: the entry holds the machine
+    other = beskow()
+    _exe_memo[(id(compiled), CompileOptions(), id(other))] = \
+        (compiled, machine, bound)
+    assert executable_for(compiled, CompileOptions(), other) is not bound
     _exe_memo.clear()
 
 
@@ -154,6 +172,28 @@ def test_simulation_explain_honours_compile_options():
     text = sim.explain(_graph())
     assert "declare no work= hint" in text
     assert "disabled (auto_alpha=False)" not in text
+
+
+def test_explain_and_run_size_auto_alpha_on_one_machine():
+    """On a noisy machine the helper count explain reports is the one
+    that runs: both size the groups with the machine's T_sigma."""
+    nprocs = 64
+    graph = (StreamGraph("sizable")
+             .stage("compute", fraction=0.75, body=_body, work=0.8)
+             .stage("analyze", fraction=0.25, work=0.2)
+             .flow("samples", src="compute", dst="analyze",
+                   operator=RunningStats))
+    sim = Simulation(nprocs, machine="beskow", compile={"auto_alpha": True})
+    explained = re.search(rf"-> (\d+)/{nprocs} helper ranks",
+                          sim.explain(graph))
+    report = sim.run(graph)
+    helpers = int(explained.group(1))
+    assert report.plan.groups["analyze"].size == helpers
+    assert sum(r.stage == "analyze" for r in report.records) == helpers
+    # T_sigma moved the balance point: sizing unbound would differ
+    unbound = compile_graph(graph, nprocs=nprocs,
+                            options={"auto_alpha": True})
+    assert unbound.plan.groups["analyze"].size != helpers
 
 
 def test_simulation_explain_size_mismatch_rejected():

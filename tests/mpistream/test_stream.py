@@ -310,7 +310,7 @@ def test_window_bounds_inflight():
 
 def _no_osend_testbed():
     # with o_send = 0 window admission and the transport hand-off happen
-    # at one instant, so right after isend the deque's head is exactly
+    # at one instant, so right after isend the window's head is exactly
     # what admission left there
     cfg = quiet_testbed()
     return replace(cfg, network=replace(cfg.network, o_send=0.0))

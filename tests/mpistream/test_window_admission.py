@@ -1,7 +1,7 @@
 """Property test for producer window admission.
 
 ``admit_to_window`` retires completed sends from the head of a
-producer's pending deque before applying the window rule.  The memory
+producer's pending list before applying the window rule.  The memory
 gain of keeping only in-flight sends rests on one identity: on the
 pristine and compiled send paths that trim never changes which request
 a send blocks on.  The untrimmed rule — pop the oldest when the window
@@ -30,7 +30,7 @@ def reference_admit(pending, window):
 @given(window=st.integers(1, 8), nsends=st.integers(0, 48), data=st.data())
 def test_admission_blocks_exactly_where_the_untrimmed_rule_blocks(
         window, nsends, data):
-    ref, trimmed = deque(), deque()
+    ref, trimmed = deque(), []
     sent = []
     for i in range(nsends):
         # any subset of the in-flight sends completes before this
@@ -48,7 +48,7 @@ def test_admission_blocks_exactly_where_the_untrimmed_rule_blocks(
             assert not trimmed or not trimmed[0].is_set
         else:
             got.is_set = True  # the producer resumes once it completes
-        # the trimmed deque is a suffix of the untrimmed one
+        # the trimmed list is a suffix of the untrimmed one
         assert list(trimmed) == list(ref)[len(ref) - len(trimmed):]
         req = Request("send", ("send->", i))
         sent.append(req)

@@ -5,11 +5,14 @@ operation against :class:`LinearMailbox`, the original linear-scan
 implementation kept as the semantic oracle.
 """
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simmpi.matching import (
+    _LONG_BUCKET,
     ANY_SOURCE,
     ANY_TAG,
     Envelope,
@@ -243,6 +246,50 @@ def test_funnel_interleaving_matches_oracle(n_srcs, per_src, seed):
         else:
             ops.append(("post", ANY_SOURCE, 0, 0))
             posted += 1
+    assert _drive(Mailbox(), ops) == _drive(LinearMailbox(), ops)
+
+
+def test_buckets_are_lists_until_long():
+    """A bucket is a list while short and a deque from _LONG_BUCKET
+    entries on, for unexpected messages and posted receives alike."""
+    mb = Mailbox()
+    mb.deliver(_env(src=1))
+    assert type(mb._unexpected[(0, 1, 0)]) is list
+    for _ in range(_LONG_BUCKET):
+        mb.deliver(_env(src=0))
+    assert type(mb._unexpected[(0, 0, 0)]) is deque
+    matched = []
+    for _ in range(_LONG_BUCKET + 1):
+        mb.post(_post(matched, source=0, tag=0))
+    assert len(matched) == _LONG_BUCKET
+    assert type(mb._posted[(0, 0, 0)]) is list
+    for _ in range(_LONG_BUCKET):
+        mb.post(_post(matched, source=2, tag=0))
+    assert type(mb._posted[(0, 2, 0)]) is deque
+
+
+_narrow_op = st.tuples(
+    st.sampled_from(["deliver", "deliver", "post", "probe"]),
+    st.sampled_from([ANY_SOURCE, 0, 1]),
+    st.sampled_from([ANY_TAG, 0]),
+    st.just(0))
+
+
+@given(
+    burst=st.integers(_LONG_BUCKET - 1, 2 * _LONG_BUCKET + 1),
+    burst_kind=st.sampled_from(["deliver", "post"]),
+    head=st.lists(_narrow_op, max_size=6),
+    tail=st.lists(_narrow_op, max_size=120),
+)
+@settings(max_examples=100, deadline=None)
+def test_long_buckets_match_linear_oracle(burst, burst_kind, head, tail):
+    """Buckets that turn into deques mid-run keep the oracle's match
+    sequence: a burst fills one pattern past _LONG_BUCKET, then a
+    random script drains and refills it."""
+    ops = [(kind, 0 if src == ANY_SOURCE and kind == "deliver" else src,
+            0 if tag == ANY_TAG and kind == "deliver" else tag, ctx)
+           for kind, src, tag, ctx in head + [(burst_kind, 0, 0, 0)] * burst
+           + tail]
     assert _drive(Mailbox(), ops) == _drive(LinearMailbox(), ops)
 
 

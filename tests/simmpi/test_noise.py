@@ -99,3 +99,22 @@ def test_inflation_never_shrinks_work(duration, skew, frac):
 def test_any_rank_id_is_valid(rank):
     m = NoiseModel(NoiseConfig(persistent_skew=0.05), 16)
     assert m.persistent_factor(rank) >= 1.0
+
+
+def test_draws_follow_each_ranks_seed_sequence():
+    """The batch-derived generators draw exactly what
+    ``default_rng(SeedSequence(seed, spawn_key=(rank,)))`` draws, for
+    ranks inside and outside the model's range."""
+    cfg = NoiseConfig(persistent_skew=0.3, quantum_fraction=0.05, seed=11)
+    m = NoiseModel(cfg, 8)
+    for rank in (0, 5, 7, 8, 123):
+        ref = np.random.default_rng(
+            np.random.SeedSequence(entropy=11, spawn_key=(rank,)))
+        factor = max(1.0, float(ref.lognormal(0.0, 0.3)))
+        assert m.persistent_factor(rank) == factor
+        expected = 0.25 * factor
+        n_events = int(ref.poisson(0.25 / cfg.quantum))
+        if n_events > 0:
+            expected += float(ref.exponential(
+                0.05 * cfg.quantum, size=n_events).sum())
+        assert m.inflate(rank, 0.25) == expected
